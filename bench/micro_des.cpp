@@ -1,10 +1,13 @@
-// Micro-benchmarks of the discrete-event engine: raw event throughput and
-// a full trace-driven simulation at paper scale.
+// Micro-benchmarks of the simulate stage at paper scale: raw event
+// throughput, building the DES input from generated workload (kernel models
+// over every rank and interval), and a full trace-driven simulation.
 
 #include <benchmark/benchmark.h>
 
 #include "bsst/engine.hpp"
 #include "bsst/trace_sim.hpp"
+#include "core/features.hpp"
+#include "core/predictor.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -55,6 +58,52 @@ void BM_EventQueueChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueChurn);
+
+// Predictor::sim_input on a synthetic workload: 12 intervals of loads,
+// ghosts and 2000 migrations each, one linear model per kernel.
+void BM_SimInput(benchmark::State& state) {
+  const auto ranks = static_cast<Rank>(state.range(0));
+  const std::size_t intervals = 12;
+  const auto n = static_cast<std::uint64_t>(ranks);
+  WorkloadResult workload;
+  workload.num_ranks = ranks;
+  workload.iterations.resize(intervals);
+  workload.comp_real = CompMatrix(ranks, intervals);
+  workload.comp_ghost = CompMatrix(ranks, intervals);
+  workload.comm_real = CommMatrix(ranks, intervals);
+  workload.comm_ghost = CommMatrix(ranks, intervals);
+  Xoshiro256 rng(5);
+  for (std::size_t t = 0; t < intervals; ++t) {
+    for (Rank r = 0; r < ranks; ++r) {
+      workload.comp_real.set(r, t,
+                             static_cast<std::int64_t>(rng.uniform_below(64)));
+      workload.comp_ghost.set(r, t,
+                              static_cast<std::int64_t>(rng.uniform_below(16)));
+    }
+    for (int m = 0; m < 2000 && t > 0; ++m)
+      workload.comm_real.add(static_cast<Rank>(rng.uniform_below(n)),
+                             static_cast<Rank>(rng.uniform_below(n)), t, 1);
+  }
+  workload.elements_per_rank.assign(static_cast<std::size_t>(ranks), 2);
+  ModelSet models;
+  for (int k = 0; k < kNumKernels; ++k) {
+    const auto kernel = static_cast<Kernel>(k);
+    const auto features = kernel_features(kernel);
+    std::string serialized = "linear 1e-6";
+    for (std::size_t f = 0; f < features.size(); ++f) serialized += " 2e-8";
+    models.set(kernel_name(kernel),
+               ModelSet::parse_model(serialized, features), features);
+  }
+  const Predictor predictor(models, 0.024);
+  for (auto _ : state) {
+    const TraceSimInput input = predictor.sim_input(workload, NetworkParams{});
+    benchmark::DoNotOptimize(input.compute_seconds.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ranks) *
+                          static_cast<std::int64_t>(intervals));
+}
+BENCHMARK(BM_SimInput)->Arg(1044)->Arg(8352)->Unit(benchmark::kMillisecond);
 
 void BM_TraceDrivenSim(benchmark::State& state) {
   const auto ranks = static_cast<Rank>(state.range(0));

@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -303,8 +304,20 @@ int main(int argc, char** argv) {
   const char* json_path = arg_str(argc, argv, "--json");
 
   // --- fixture: tiny trace + models, like the serving smoke test ----------
-  const std::string work = fs::temp_directory_path() / "picp_micro_serve";
-  fs::create_directories(work);
+  // A private directory per process, so concurrent runs never share a trace
+  // or models; removed on every return from main.
+  std::string work = fs::temp_directory_path() / "picp_micro_serve.XXXXXX";
+  if (::mkdtemp(work.data()) == nullptr) {
+    std::perror("micro_serve: mkdtemp");
+    return 1;
+  }
+  struct RemoveOnReturn {
+    std::string dir;
+    ~RemoveOnReturn() {
+      std::error_code ignored;
+      fs::remove_all(dir, ignored);
+    }
+  } const cleanup{work};
   const std::string trace_path = work + "/bench.trace";
   SimConfig cfg;
   cfg.nelx = 8;
@@ -460,7 +473,6 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
 
-  fs::remove_all(work);
   // The open-loop phase must both complete cleanly and prove that all N
   // connections were concurrently open on the server.
   const bool open_ok =

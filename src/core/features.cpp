@@ -38,36 +38,48 @@ std::vector<double> features_from_record(Kernel k, const TimingRecord& rec) {
   throw Error("unknown kernel");
 }
 
-std::vector<double> features_from_workload(Kernel k,
-                                           const WorkloadResult& workload,
-                                           Rank rank, std::size_t interval,
-                                           double filter) {
+FeatureValues workload_feature_values(Kernel k, const WorkloadResult& workload,
+                                      Rank rank, std::size_t interval,
+                                      double filter, std::int64_t received) {
   const auto np =
       static_cast<double>(workload.comp_real.at(rank, interval));
   switch (k) {
     case Kernel::kInterpolate:
     case Kernel::kEqSolve:
     case Kernel::kPush:
-      return {np};
+      return {{np}, 1};
     case Kernel::kProject:
     case Kernel::kCreateGhost:
-      return {np,
-              static_cast<double>(workload.comp_ghost.at(rank, interval)),
-              filter};
+      return {{np,
+               static_cast<double>(workload.comp_ghost.at(rank, interval)),
+               filter},
+              3};
     case Kernel::kMigrate:
       // The kernel scans every owned particle and packs the movers;
       // movers are receive-side arrivals, matching the instrumentation.
-      return {np, static_cast<double>(
-                      workload.comm_real.received_by(rank, interval))};
+      return {{np, static_cast<double>(received)}, 2};
     case Kernel::kFluid: {
       PICP_REQUIRE(static_cast<std::size_t>(rank) <
                        workload.elements_per_rank.size(),
                    "workload lacks element counts for the fluid model");
-      return {static_cast<double>(
-          workload.elements_per_rank[static_cast<std::size_t>(rank)])};
+      return {{static_cast<double>(
+                  workload.elements_per_rank[static_cast<std::size_t>(rank)])},
+              1};
     }
   }
   throw Error("unknown kernel");
+}
+
+std::vector<double> features_from_workload(Kernel k,
+                                           const WorkloadResult& workload,
+                                           Rank rank, std::size_t interval,
+                                           double filter) {
+  const std::int64_t received =
+      k == Kernel::kMigrate ? workload.comm_real.received_by(rank, interval)
+                            : 0;
+  const auto features =
+      workload_feature_values(k, workload, rank, interval, filter, received);
+  return {features.span().begin(), features.span().end()};
 }
 
 }  // namespace picp

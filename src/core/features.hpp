@@ -1,5 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,9 +26,25 @@ std::vector<std::string> kernel_features(Kernel k);
 /// (training side — the features were recorded during measurement).
 std::vector<double> features_from_record(Kernel k, const TimingRecord& rec);
 
-/// Feature vector for one (rank, interval) from generated workload
+/// One kernel's feature values in kernel_features order, held inline so the
+/// per-(rank, interval) prediction loop allocates nothing.
+struct FeatureValues {
+  std::array<double, 3> values{};  // the widest kernel: project's 3
+  std::size_t size = 0;
+
+  std::span<const double> span() const { return {values.data(), size}; }
+};
+
+/// Feature values for one (rank, interval) from generated workload
 /// (prediction side — the features come from the Dynamic Workload
-/// Generator, never from the application).
+/// Generator, never from the application). `received` is the number of
+/// particles `rank` receives at `interval`; only migrate reads it.
+FeatureValues workload_feature_values(Kernel k, const WorkloadResult& workload,
+                                      Rank rank, std::size_t interval,
+                                      double filter, std::int64_t received);
+
+/// workload_feature_values as a vector, with `received` looked up in
+/// workload.comm_real (O(pairs) per call for migrate).
 std::vector<double> features_from_workload(Kernel k,
                                            const WorkloadResult& workload,
                                            Rank rank, std::size_t interval,

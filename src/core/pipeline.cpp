@@ -75,7 +75,7 @@ PredictionOutcome PredictionPipeline::predict(
   PICP_LOG_INFO << "prediction " << config.mapper_kind << " R="
                 << config.num_ranks << ": app time "
                 << outcome.sim.total_seconds << " s (workload gen "
-                << outcome.workload_gen_seconds << " s, DES "
+                << outcome.workload_gen_seconds << " s, simulate "
                 << outcome.sim_seconds << " s, "
                 << outcome.sim.events << " events)";
   return outcome;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,5 +26,12 @@ class PerfModel {
 
   virtual std::unique_ptr<PerfModel> clone() const = 0;
 };
+
+/// A model's predicted kernel time, clamped at zero: regression models can
+/// dip below zero near the origin; time cannot.
+inline double predicted_seconds(const PerfModel& model,
+                                std::span<const double> features) {
+  return std::max(0.0, model.evaluate(features));
+}
 
 }  // namespace picp

@@ -1,6 +1,5 @@
 #include "model/model_set.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -39,7 +38,7 @@ double ModelSet::predict(const std::string& kernel,
   PICP_REQUIRE(it != entries_.end(), "no model for kernel: " + kernel);
   PICP_REQUIRE(features.size() == it->second.features.size(),
                "feature count mismatch for kernel: " + kernel);
-  return std::max(0.0, it->second.model->evaluate(features));
+  return predicted_seconds(*it->second.model, features);
 }
 
 const std::vector<std::string>& ModelSet::features_of(

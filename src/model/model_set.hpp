@@ -32,7 +32,7 @@ class ModelSet {
 
   /// Predicted time for one kernel; throws picp::Error for unknown kernels
   /// or mismatched feature counts. Negative predictions clamp to zero
-  /// (regression models can dip below zero near the origin; time cannot).
+  /// (predicted_seconds).
   double predict(const std::string& kernel,
                  std::span<const double> features) const;
 

@@ -68,6 +68,13 @@ std::int64_t CommMatrix::received_by(Rank r, std::size_t t) const {
   return total;
 }
 
+std::vector<std::int64_t> CommMatrix::received_counts(std::size_t t) const {
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(num_ranks_), 0);
+  for (const auto& [k, count] : slices_[t])
+    counts[k % static_cast<std::uint64_t>(num_ranks_)] += count;
+  return counts;
+}
+
 std::int64_t CommMatrix::total_volume() const {
   std::int64_t total = 0;
   for (std::size_t t = 0; t < num_intervals_; ++t) total += interval_volume(t);

@@ -40,9 +40,14 @@ class CommMatrix {
   std::int64_t interval_volume(std::size_t t) const;
   /// Number of distinct communicating rank pairs in an interval.
   std::size_t interval_pairs(std::size_t t) const;
-  /// Particles sent by / received by one rank in an interval.
+  /// Particles sent by / received by one rank in an interval. Each call
+  /// scans the whole interval, O(pairs): keep them out of per-rank loops
+  /// and use received_counts there.
   std::int64_t sent_by(Rank r, std::size_t t) const;
   std::int64_t received_by(Rank r, std::size_t t) const;
+  /// Particles received by every rank in an interval (the column sums of
+  /// the interval's slice), indexed by rank: one O(R + pairs) pass.
+  std::vector<std::int64_t> received_counts(std::size_t t) const;
 
   /// Total particles moved across the whole run.
   std::int64_t total_volume() const;

@@ -60,6 +60,22 @@ TEST(CommMatrix, SentAndReceivedBy) {
   EXPECT_EQ(m.total_volume(), 21);
 }
 
+TEST(CommMatrix, ReceivedCountsAreColumnSums) {
+  CommMatrix m(4, 2);
+  m.add(1, 0, 0, 3);
+  m.add(1, 2, 0, 4);
+  m.add(0, 1, 0, 5);
+  m.add(3, 2, 0, 1);
+  m.add(2, 2, 0, 6);
+  m.add(1, 3, 1, 9);
+  EXPECT_EQ(m.received_counts(0), (std::vector<std::int64_t>{3, 5, 11, 0}));
+  EXPECT_EQ(m.received_counts(1), (std::vector<std::int64_t>{0, 0, 0, 9}));
+  for (std::size_t t = 0; t < 2; ++t)
+    for (Rank r = 0; r < 4; ++r)
+      EXPECT_EQ(m.received_counts(t)[static_cast<std::size_t>(r)],
+                m.received_by(r, t));
+}
+
 TEST(CommMatrix, SelfTransfersAllowedButDistinct) {
   CommMatrix m(2, 1);
   m.add(0, 0, 0, 2);
